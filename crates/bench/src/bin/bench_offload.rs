@@ -30,9 +30,9 @@
 //!   gates asserted, no JSON. CI's no-hang wall-clock gate runs this.
 
 use dsi_bench::print_table;
-use dsi_core::StreamedEngine;
 use dsi_core::batch::BatchEngine;
 use dsi_model::fast::PackedModel;
+use dsi_model::paged::PagedEngine;
 use dsi_model::reference::GptModel;
 use dsi_model::{zoo, GptConfig};
 use dsi_sim::fault::{IoFaultInjector, IoFaultKind, IoFaultPlan, IoFaultSite, IoFaultSpec};
@@ -124,7 +124,7 @@ fn run_streamed(
     };
     let store = OffloadStore::open(path, cfg).expect("open store");
     let effective = store.effective_depth();
-    let mut eng = StreamedEngine::new(store, slots, 65_536);
+    let mut eng = streamed(store, slots);
     let prompts = batch_prompts(slots);
     let t0 = Instant::now();
     let mut streams: Vec<Vec<usize>> = prompts
@@ -141,7 +141,14 @@ fn run_streamed(
         }
     }
     let dt = t0.elapsed().as_secs_f64();
-    (streams, dt, eng.store().stats(), effective)
+    (streams, dt, eng.weights().stats(), effective)
+}
+
+/// The paged engine over `store`, its pool sized for `slots` full-length
+/// sequences in 16-token pages.
+fn streamed(store: OffloadStore, slots: usize) -> PagedEngine<OffloadStore> {
+    let pages = slots * store.config().max_seq.div_ceil(16);
+    PagedEngine::new(store, slots, pages, 16)
 }
 
 /// Resident-path oracle streams for the same batch.
@@ -237,14 +244,14 @@ fn smoke() {
     };
     let store = OffloadStore::open(&path, cfg).expect("open store");
     store.kill_prefetcher();
-    let mut eng = StreamedEngine::new(store, 1, 4096);
+    let mut eng = streamed(store, 1);
     let prompt = &batch_prompts(1)[0];
     let mut tokens = vec![eng.prefill(0, prompt).expect("prefill")];
     for _ in 1..gen {
         eng.decode_step(&[0], &mut tokens).expect("decode");
     }
     assert_eq!(tokens, want[0], "sync-fallback decode diverged");
-    assert!(eng.store().stats().sync_fallbacks > 0, "fallback path never ran");
+    assert!(eng.weights().stats().sync_fallbacks > 0, "fallback path never ran");
     println!("bench_offload --smoke: dead prefetcher degraded to sync fetch, bit-exact");
 
     // Armed-idle gate on a quick best-of sweep.

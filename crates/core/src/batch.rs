@@ -22,18 +22,18 @@
 //!   paged).
 //!
 //! Implementations: [`FastSession`] (one slot, contiguous KV),
-//! [`BatchedFastSession`] (M slots, contiguous per-slot KV),
-//! [`PagedEngine`] (M slots over a shared page pool — the serving
-//! configuration), and [`FtEngine`] (one slot over the fault-tolerant
-//! tensor-parallel [`FtSession`]). Every implementation emits **the same
-//! token stream** for a given prompt — the microkernel
-//! accumulation-order invariant makes batching and paging invisible to the
-//! numerics — which is what lets the chaos suite use solo sessions as
-//! bitwise oracles for continuous-batched serving.
+//! [`PagedEngine`] (M slots over a shared page pool, with resident or
+//! streamed weights — the serving configuration), and [`FtEngine`] (one
+//! slot over the fault-tolerant tensor-parallel [`FtSession`]). Every
+//! implementation emits **the same token stream** for a given prompt — the
+//! microkernel accumulation-order invariant makes batching, paging and
+//! weight streaming invisible to the numerics — which is what lets the
+//! chaos suite use solo sessions as bitwise oracles for continuous-batched
+//! serving.
 
 use dsi_kernels::blocked::PanelWeights;
-use dsi_model::fast::{BatchedFastSession, FastSession};
-use dsi_model::paged::{PageStats, PagedEngine, PagesExhausted};
+use dsi_model::fast::{FastSession, WeightSource};
+use dsi_model::paged::{PageStats, PagedEngine, PagedError, PagesExhausted};
 use dsi_parallel::supervisor::{FtSession, StepCtl, StepError};
 use dsi_sim::fault::{EngineFaultInjector, EngineFaultKind};
 use serde::Serialize;
@@ -131,6 +131,18 @@ impl From<PagesExhausted> for EngineError {
     }
 }
 
+/// Page exhaustion stays a scheduling signal; a weight-source failure (a
+/// streamed tier's typed `OffloadError`) becomes a fault binned by its
+/// `Display` text, so a dying tier trips the matching breaker class.
+impl<E: std::fmt::Display> From<PagedError<E>> for EngineError {
+    fn from(e: PagedError<E>) -> Self {
+        match e {
+            PagedError::Pages(p) => p.into(),
+            PagedError::Weights(w) => EngineError::classified(w.to_string()),
+        }
+    }
+}
+
 /// A multi-slot generation engine a continuous-batching scheduler can
 /// drive. See the module docs for the slot lifecycle and the
 /// token-identity contract.
@@ -190,26 +202,10 @@ impl<B: PanelWeights> BatchEngine for FastSession<'_, '_, B> {
     }
 }
 
-impl<B: PanelWeights> BatchEngine for BatchedFastSession<'_, '_, B> {
-    fn max_slots(&self) -> usize {
-        self.seqs.len()
-    }
-
-    fn prefill(&mut self, slot: usize, prompt: &[usize]) -> Result<usize, EngineError> {
-        Ok(self.prefill_slot(slot, prompt))
-    }
-
-    fn decode_step(&mut self, slots: &[usize], out: &mut Vec<usize>) -> Result<(), EngineError> {
-        self.decode_slots(slots, out);
-        Ok(())
-    }
-
-    fn release(&mut self, slot: usize) {
-        self.release_slot(slot);
-    }
-}
-
-impl<B: PanelWeights> BatchEngine for PagedEngine<'_, '_, B> {
+impl<W: WeightSource> BatchEngine for PagedEngine<W>
+where
+    W::Error: std::fmt::Display,
+{
     fn max_slots(&self) -> usize {
         PagedEngine::max_slots(self)
     }
@@ -441,6 +437,7 @@ mod tests {
     use dsi_model::reference::GptModel;
     use dsi_model::zoo;
     use dsi_parallel::supervisor::FtConfig;
+    use dsi_zero::offload::{OffloadConfig, OffloadStore};
     use std::sync::Arc;
 
     fn model(seed: u64) -> GptModel {
@@ -471,11 +468,16 @@ mod tests {
         let mut fast = pm.session(prompt.len());
         assert_eq!(run_slot0(&mut fast, &prompt, 6), want, "FastSession");
 
-        let mut batched = pm.slot_session(3, prompt.len());
-        assert_eq!(run_slot0(&mut batched, &prompt, 6), want, "BatchedFastSession");
-
         let mut paged = PagedEngine::new(&pm, 3, 32, 4);
         assert_eq!(run_slot0(&mut paged, &prompt, 6), want, "PagedEngine");
+
+        let path = std::env::temp_dir()
+            .join(format!("dsi_batch_streamed_{}.bin", std::process::id()));
+        dsi_model::io::save(&m, &path).expect("save weight file");
+        let store = OffloadStore::open(&path, OffloadConfig::default()).expect("open store");
+        let mut streamed = PagedEngine::new(store, 3, 32, 4);
+        assert_eq!(run_slot0(&mut streamed, &prompt, 6), want, "PagedEngine over OffloadStore");
+        let _ = std::fs::remove_file(path);
 
         let mut ft = FtEngine::new(FtSession::new(
             Arc::new(model(11)),

@@ -6,23 +6,13 @@
 //! the whole generation of strangers. Continuous batching re-forms the
 //! running batch at every token step — new requests join as soon as their
 //! prompt is processed, finished requests leave immediately — which is the
-//! scheduling discipline production engines adopted after the paper. The
-//! simulation below quantifies how much of the tail latency that discipline
-//! removes, on the same engine cost model.
+//! scheduling discipline production engines adopted after the paper. It is
+//! executed by `dsi-serve`'s scheduler; this module holds its admission
+//! policy.
 
-use crate::engine::InferenceEngine;
-use crate::serving::{FaultProfile, ServingReport, Workload};
-use crate::stats::percentile;
-use rand::distributions::Distribution;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-
-/// The iteration-level slot policy — **one** struct shared by the analytic
-/// simulator below and the *executed* continuous scheduler in `dsi-serve`
-/// (`dsi_serve::scheduler`): a sequence may join whenever a slot is free,
-/// and retires the moment it finishes. Keeping the decision in one place
-/// means the simulator's predictions and the runtime's behavior cannot
-/// drift apart on admission policy.
+/// The iteration-level slot policy the executed continuous scheduler in
+/// `dsi-serve` (`dsi_serve::scheduler`) admits by: a sequence may join
+/// whenever a slot is free, and retires the moment it finishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotPolicy {
     /// Maximum sequences resident in the running batch.
@@ -43,343 +33,5 @@ impl SlotPolicy {
     /// Slots free for admission with `resident` sequences in flight.
     pub fn free_slots(&self, resident: usize) -> usize {
         self.max_slots.saturating_sub(resident)
-    }
-}
-
-/// Continuous-batching policy.
-#[derive(Debug, Clone, Copy)]
-pub struct ContinuousPolicy {
-    /// Maximum sequences resident in the running batch.
-    pub max_batch: usize,
-}
-
-impl ContinuousPolicy {
-    /// The slot policy this batching policy induces.
-    pub fn slots(&self) -> SlotPolicy {
-        SlotPolicy::new(self.max_batch)
-    }
-}
-
-impl From<ContinuousPolicy> for SlotPolicy {
-    fn from(p: ContinuousPolicy) -> Self {
-        p.slots()
-    }
-}
-
-#[derive(Debug, Clone)]
-struct Request {
-    arrival: f64,
-    remaining: usize,
-    prompt_done: bool,
-    retries_left: usize,
-}
-
-/// Simulate continuous batching for `workload` on `engine`. Time advances in
-/// token steps of the current running batch; between steps, finished
-/// requests retire and waiting requests are admitted (their prompt is
-/// charged on admission).
-pub fn simulate_continuous(
-    engine: &InferenceEngine,
-    workload: &Workload,
-    policy: ContinuousPolicy,
-) -> ServingReport {
-    simulate_continuous_with_faults(engine, workload, policy, FaultProfile::NONE)
-}
-
-/// [`simulate_continuous`] with a request-level [`FaultProfile`]. A request's
-/// attempt fails (with probability `failure_rate`) at the moment it would
-/// retire; a failed request with retry budget left restarts in place —
-/// re-prefilled and regenerated while holding its batch slot — and one that
-/// exhausts the budget is evicted and counted, never silently dropped.
-pub fn simulate_continuous_with_faults(
-    engine: &InferenceEngine,
-    workload: &Workload,
-    policy: ContinuousPolicy,
-    faults: FaultProfile,
-) -> ServingReport {
-    assert!(workload.requests > 0 && policy.max_batch > 0);
-    assert!((0.0..=1.0).contains(&faults.failure_rate));
-    let slots = policy.slots();
-    let mut rng = ChaCha8Rng::seed_from_u64(workload.seed);
-    let exp = rand::distributions::Uniform::new(0.0f64, 1.0);
-    let mut fault_rng = ChaCha8Rng::seed_from_u64(faults.seed);
-    let mut arrivals = Vec::with_capacity(workload.requests);
-    let mut t = 0.0;
-    for _ in 0..workload.requests {
-        let u: f64 = exp.sample(&mut rng).max(1e-12);
-        t += -u.ln() / workload.arrival_rate;
-        arrivals.push(t);
-    }
-
-    // Cost primitives from the engine (deterministic, cache by batch size).
-    let mut prompt_cache: Vec<Option<f64>> = vec![None; policy.max_batch + 1];
-    let mut step_cache: Vec<Option<f64>> = vec![None; policy.max_batch + 1];
-    let mut prompt_time = |b: usize| -> f64 {
-        let b = b.clamp(1, policy.max_batch);
-        if prompt_cache[b].is_none() {
-            prompt_cache[b] =
-                Some(engine.generation(b, workload.prompt, 1).prompt_latency);
-        }
-        prompt_cache[b].unwrap()
-    };
-    let mut step_time = |b: usize| -> f64 {
-        let b = b.clamp(1, policy.max_batch);
-        if step_cache[b].is_none() {
-            // Per-token time of a b-sized batch: amortize the generation tail.
-            let r = engine.generation(b, workload.prompt, workload.gen);
-            step_cache[b] = Some((r.total_latency - r.prompt_latency) / workload.gen.max(1) as f64);
-        }
-        step_cache[b].unwrap()
-    };
-
-    let mut now = 0.0f64;
-    let mut busy = 0.0f64;
-    let mut running: Vec<Request> = Vec::new();
-    let mut next = 0usize;
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut batch_sizes: Vec<f64> = Vec::new();
-    let mut failed_attempts = 0usize;
-    let mut retried = 0usize;
-    let mut evicted = 0usize;
-
-    while latencies.len() + evicted < workload.requests {
-        // Admit arrivals into free slots (shared policy with dsi-serve's
-        // executed scheduler).
-        while next < arrivals.len()
-            && slots.can_admit(running.len())
-            && arrivals[next] <= now
-        {
-            running.push(Request {
-                arrival: arrivals[next],
-                remaining: workload.gen,
-                prompt_done: false,
-                retries_left: faults.max_retries,
-            });
-            next += 1;
-        }
-        if running.is_empty() {
-            // Idle until the next arrival.
-            now = arrivals[next].max(now);
-            continue;
-        }
-        // Charge prompts for newly admitted requests (processed alongside
-        // the running batch, like the paper's hybrid prompt handling).
-        let fresh = running.iter().filter(|r| !r.prompt_done).count();
-        if fresh > 0 {
-            let dt = prompt_time(fresh);
-            now += dt;
-            busy += dt;
-            for r in running.iter_mut() {
-                r.prompt_done = true;
-            }
-        }
-        // One token step for the whole running batch.
-        let b = running.len();
-        batch_sizes.push(b as f64);
-        let dt = step_time(b);
-        now += dt;
-        busy += dt;
-        for r in running.iter_mut() {
-            r.remaining -= 1;
-        }
-        // Retire finished requests. A request's attempt fails at the moment
-        // it would retire: with budget left it restarts in place (fresh
-        // prompt + generation, same batch slot), otherwise it is evicted.
-        running.retain_mut(|r| {
-            if r.remaining > 0 {
-                return true;
-            }
-            if exp.sample(&mut fault_rng) < faults.failure_rate {
-                failed_attempts += 1;
-                if r.retries_left > 0 {
-                    r.retries_left -= 1;
-                    retried += 1;
-                    r.remaining = workload.gen;
-                    r.prompt_done = false;
-                    return true;
-                }
-                evicted += 1;
-                return false;
-            }
-            latencies.push(now - r.arrival);
-            false
-        });
-    }
-
-    latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let wall = now.max(*arrivals.last().unwrap());
-    // Always-on accounting invariant (mirrors `simulate_serving_with_faults`).
-    assert_eq!(
-        latencies.len() + evicted,
-        workload.requests,
-        "continuous accounting violated: {} completed + {} evicted != {} requests",
-        latencies.len(),
-        evicted,
-        workload.requests
-    );
-    ServingReport {
-        completed: latencies.len(),
-        p50: percentile(&latencies, 0.50),
-        p95: percentile(&latencies, 0.95),
-        p99: percentile(&latencies, 0.99),
-        mean_batch: batch_sizes.iter().sum::<f64>() / batch_sizes.len().max(1) as f64,
-        // Continuous retries restart in place inside the running batch;
-        // there are no separate retry waves to measure.
-        mean_retry_batch: 0.0,
-        goodput: latencies.len() as f64 / wall,
-        utilization: busy / wall,
-        failed_attempts,
-        retried,
-        evicted,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::engine::EngineConfig;
-    use crate::serving::{simulate_serving, BatchPolicy};
-    use dsi_model::zoo::dense_by_name;
-    use dsi_sim::hw::ClusterSpec;
-
-    fn engine() -> InferenceEngine {
-        InferenceEngine::new(EngineConfig::deepspeed(
-            dense_by_name("GPT-J-6B").unwrap(),
-            ClusterSpec::dgx_a100(1),
-            1,
-            1,
-        ))
-    }
-
-    fn workload(rate: f64) -> Workload {
-        Workload {
-            arrival_rate: rate,
-            prompt: 128,
-            gen: 16,
-            requests: 150,
-            seed: 21,
-        }
-    }
-
-    #[test]
-    fn completes_everything_deterministically() {
-        let e = engine();
-        let p = ContinuousPolicy { max_batch: 16 };
-        let a = simulate_continuous(&e, &workload(20.0), p);
-        let b = simulate_continuous(&e, &workload(20.0), p);
-        assert_eq!(a.completed, 150);
-        assert_eq!(a.p99, b.p99);
-        assert!(a.p50 <= a.p95 && a.p95 <= a.p99);
-        assert!(a.utilization <= 1.0 + 1e-9);
-    }
-
-    #[test]
-    fn beats_static_batching_tail_latency_under_load() {
-        // The headline property: at moderate load with long generations,
-        // iteration-level scheduling cuts tail latency vs run-to-completion
-        // batching (late arrivals no longer wait out strangers' tokens).
-        // At full saturation the advantage flips — prompt passes interleave
-        // with decoding — which is why production engines added chunked
-        // prefill on top; the crossover itself is part of the model.
-        let e = engine();
-        let mut w = workload(10.0);
-        w.gen = 48;
-        let stat = simulate_serving(
-            &e,
-            &w,
-            BatchPolicy {
-                max_batch: 16,
-                max_wait: 0.05,
-            },
-        );
-        let cont = simulate_continuous(&e, &w, ContinuousPolicy { max_batch: 16 });
-        assert!(
-            cont.p99 < 0.8 * stat.p99,
-            "continuous p99 {:.3}s vs static {:.3}s",
-            cont.p99,
-            stat.p99
-        );
-        assert!(cont.p50 < stat.p50);
-    }
-
-    #[test]
-    fn light_load_degenerates_gracefully() {
-        // At trivial load both disciplines serve ~one request at a time.
-        let e = engine();
-        let w = workload(0.5);
-        let cont = simulate_continuous(&e, &w, ContinuousPolicy { max_batch: 8 });
-        assert!(cont.mean_batch < 1.6, "mean batch {}", cont.mean_batch);
-        assert_eq!(cont.completed, 150);
-    }
-
-    #[test]
-    fn batch_cap_respected() {
-        let e = engine();
-        let w = workload(500.0); // heavy overload
-        let cont = simulate_continuous(&e, &w, ContinuousPolicy { max_batch: 4 });
-        assert!(cont.mean_batch <= 4.0 + 1e-9);
-        assert!(cont.utilization > 0.9);
-    }
-
-    #[test]
-    fn fault_free_profile_is_the_identity() {
-        let e = engine();
-        let p = ContinuousPolicy { max_batch: 16 };
-        let plain = simulate_continuous(&e, &workload(20.0), p);
-        let faulty =
-            simulate_continuous_with_faults(&e, &workload(20.0), p, FaultProfile::NONE);
-        assert_eq!(plain.p99, faulty.p99);
-        assert_eq!(plain.completed, faulty.completed);
-        assert_eq!(faulty.failed_attempts, 0);
-        assert_eq!(faulty.evicted, 0);
-    }
-
-    #[test]
-    fn faults_are_never_silently_dropped() {
-        let e = engine();
-        let p = ContinuousPolicy { max_batch: 16 };
-        for (rate, max_retries) in [(0.3, 0), (0.3, 2), (1.0, 2)] {
-            let f = FaultProfile { failure_rate: rate, max_retries, seed: 9 };
-            let r = simulate_continuous_with_faults(&e, &workload(20.0), p, f);
-            assert_eq!(
-                r.completed + r.evicted,
-                150,
-                "rate {rate} retries {max_retries}: {} completed, {} evicted",
-                r.completed,
-                r.evicted
-            );
-            assert_eq!(r.failed_attempts, r.retried + r.evicted);
-            if rate >= 1.0 {
-                assert_eq!(r.evicted, 150);
-                assert_eq!(r.retried, 150 * max_retries);
-            } else {
-                assert!(r.failed_attempts > 0);
-            }
-        }
-    }
-
-    #[test]
-    fn retries_hold_batch_slots_and_save_requests() {
-        // A retried request re-runs in place: eviction drops with budget,
-        // and the re-execution shows up as extra engine busy time.
-        let e = engine();
-        let p = ContinuousPolicy { max_batch: 16 };
-        let w = workload(20.0);
-        let none = simulate_continuous_with_faults(
-            &e,
-            &w,
-            p,
-            FaultProfile { failure_rate: 0.3, max_retries: 0, seed: 4 },
-        );
-        let some = simulate_continuous_with_faults(
-            &e,
-            &w,
-            p,
-            FaultProfile { failure_rate: 0.3, max_retries: 6, seed: 4 },
-        );
-        assert!(none.evicted > 0);
-        assert!(some.evicted < none.evicted);
-        assert!(some.completed > none.completed);
-        assert!(some.retried > 0);
     }
 }

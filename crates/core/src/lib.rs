@@ -21,7 +21,6 @@ pub mod planner;
 pub mod report;
 pub mod serving;
 pub mod stats;
-pub mod streamed;
 pub mod whatif;
 
 pub use dsi_baselines::exec::{ExecStyle, LatencyReport};
@@ -32,16 +31,10 @@ pub use dsi_moe::system::{MoeSystem, MoeSystemKind};
 pub use dsi_sim::hw::{ClusterSpec, DType, GpuSpec, NodeSpec};
 pub use dsi_zero::engine::ZeroInference;
 pub use dsi_zero::offload::{OffloadConfig, OffloadError, OffloadStats, OffloadStore};
-pub use streamed::StreamedEngine;
 pub use engine::{EngineConfig, InferenceEngine, RunReport};
 pub use planner::{plan, Objective, Plan};
 pub use batch::{BatchEngine, EngineError, FaultClass, FaultyEngine, FtEngine};
-pub use continuous::{
-    simulate_continuous, simulate_continuous_with_faults, ContinuousPolicy, SlotPolicy,
-};
-pub use serving::{
-    simulate_serving, simulate_serving_with_faults, BatchPolicy, FaultProfile, ServingReport,
-    Workload,
-};
+pub use continuous::SlotPolicy;
+pub use serving::{simulate_serving, BatchPolicy, ServingReport, Workload};
 pub use stats::percentile;
 pub use whatif::{scale_cluster, sensitivities, Knob, Sensitivity};

@@ -32,6 +32,8 @@ use dsi_kernels::blocked::{self, PackedB, PanelWeights};
 use dsi_kernels::fused;
 use dsi_kernels::quant::QuantizedPackedB;
 use dsi_kernels::tensor::Tensor;
+use std::convert::Infallible;
+use std::ops::Deref;
 
 /// One layer's weights in execution layout: GEMM operands packed (FP32
 /// panels by default, group-quantized INT8 panels for the
@@ -200,32 +202,6 @@ impl<'m, B: PanelWeights> PackedModel<'m, B> {
         }
     }
 
-    /// Start an **empty** batched session with `max_slots` reusable slots,
-    /// all initially released — the multi-slot contiguous-KV engine surface
-    /// behind `dsi-core`'s `BatchEngine` ([`BatchedFastSession::prefill_slot`]
-    /// / [`BatchedFastSession::decode_slots`] /
-    /// [`BatchedFastSession::release_slot`]).
-    pub fn slot_session(&self, max_slots: usize, max_prompt: usize) -> BatchedFastSession<'_, 'm, B> {
-        assert!(max_slots > 0);
-        let c = self.config();
-        BatchedFastSession {
-            pm: self,
-            seqs: (0..max_slots)
-                .map(|_| BatchedSeq {
-                    cache: KvCache::with_capacity(c.layers, c.hidden, c.max_seq),
-                    tokens: Vec::new(),
-                    prompt_len: 0,
-                    generated: 0,
-                    finished: true,
-                })
-                .collect(),
-            scratch: Scratch::new(c, max_prompt.max(max_slots).max(1)),
-            eos: None,
-            max_new_tokens: usize::MAX,
-            active_idx: Vec::with_capacity(max_slots),
-        }
-    }
-
     /// Forward `ids` as consecutive positions of **one** sequence over
     /// `cache`, leaving `[ids.len(), vocab]` logits in `scratch`. The
     /// engine core shared by [`FastSession::forward`] and the batched
@@ -236,7 +212,8 @@ impl<'m, B: PanelWeights> PackedModel<'m, B> {
         let offset = cache.context_len();
         assert!(offset + m <= c.max_seq, "sequence exceeds max_seq");
         s.ensure(c, m);
-        embed_seq_into(c, &self.model.wte, &self.model.wpe, ids, offset, s);
+        let rows = ids.iter().enumerate().map(|(i, &id)| (id, offset + i));
+        embed_into(c, &self.model.wte, &self.model.wpe, rows, s);
         for (l, pl) in self.layers.iter().enumerate() {
             layer_seq_step(c, s, pl, &mut cache.layers[l], m, offset);
         }
@@ -266,42 +243,110 @@ impl<'m, B: PanelWeights> PackedModel<'m, B> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The fused forward pass, one free function per stage.
-//
-// These are the single source of the Deep-Fusion kernel sequence: both the
-// fully-resident [`PackedModel`] engines and `dsi-zero`'s streamed engine
-// (which holds only a window of layer panels resident at a time) drive the
-// same functions, so "streamed decode is token-identical to the resident
-// oracle" holds by construction — the two paths cannot drift apart
-// numerically, only in where the `PackedLayer` came from.
-// ---------------------------------------------------------------------------
+/// The weights every forward pass touches at both ends of the layer stack:
+/// embeddings on the way in, final layer-norm and the packed logits operand
+/// on the way out. Always resident, whatever the layer panels' tier.
+pub struct EndWeights<'a, B> {
+    pub wte: &'a Tensor,
+    pub wpe: &'a Tensor,
+    pub lnf_g: &'a [f32],
+    pub lnf_b: &'a [f32],
+    /// `wteᵀ` as the packed `[h, vocab]` logits projection.
+    pub wte_packed: &'a B,
+}
 
-/// Embedding stage for `ids` as consecutive positions (starting at
-/// `offset`) of one sequence: token row + position row fused into one write
-/// of `s.x`. Caller has run `s.ensure(c, ids.len())`.
-pub fn embed_seq_into(c: &GptConfig, wte: &Tensor, wpe: &Tensor, ids: &[usize], offset: usize, s: &mut Scratch) {
-    let h = c.hidden;
-    for (i, &id) in ids.iter().enumerate() {
-        assert!(id < c.vocab, "token id {id} out of vocab");
-        let te = wte.row(id);
-        let pe = wpe.row(offset + i);
-        for (x, (&t, &p)) in s.x[i * h..(i + 1) * h].iter_mut().zip(te.iter().zip(pe)) {
-            *x = t + p;
+/// Where a decode engine's weights come from: the only thing that differs
+/// between resident decode and ZeRO-Inference-style streamed decode
+/// (Sec. VI). A forward pass walks the stack as
+///
+/// ```text
+///   for l in 0..L {
+///       panel = source.layer(l)?          // borrow, or resident hit / fetch
+///       source.prefetch_ahead(l + 1)      // a streamed tier reads ahead
+///       layer_step(panel, ...)            // the shared fused layer body
+///       drop(panel)                       // release before the next checkout
+///   }
+/// ```
+///
+/// `&PackedModel` is the resident source (a plain borrow that never fails);
+/// `dsi-zero`'s `OffloadStore` hands out `Arc`-pinned panels and fails
+/// typed when the tier does.
+pub trait WeightSource {
+    /// Packed GEMM operand storage (FP32 or INT8 panels).
+    type Panel: PanelWeights;
+    /// A checked-out layer; dropping it releases any pin the source holds.
+    type Layer<'a>: Deref<Target = PackedLayer<Self::Panel>>
+    where
+        Self: 'a;
+    /// Why a layer could not be checked out.
+    type Error;
+
+    fn config(&self) -> &GptConfig;
+
+    fn ends(&self) -> EndWeights<'_, Self::Panel>;
+
+    /// Check out layer `l`'s panel.
+    fn layer(&self, l: usize) -> Result<Self::Layer<'_>, Self::Error>;
+
+    /// Hint that the pass will want layers from `next` on soon; called right
+    /// after layer `next - 1` is checked out. Resident sources ignore it.
+    fn prefetch_ahead(&self, _next: usize) {}
+}
+
+impl<'p, B: PanelWeights> WeightSource for &'p PackedModel<'_, B> {
+    type Panel = B;
+    type Layer<'a>
+        = &'p PackedLayer<B>
+    where
+        Self: 'a;
+    type Error = Infallible;
+
+    fn config(&self) -> &GptConfig {
+        &self.model.config
+    }
+
+    fn ends(&self) -> EndWeights<'_, B> {
+        EndWeights {
+            wte: &self.model.wte,
+            wpe: &self.model.wpe,
+            lnf_g: self.model.lnf_g.data(),
+            lnf_b: self.model.lnf_b.data(),
+            wte_packed: &self.wte_packed,
         }
+    }
+
+    fn layer(&self, l: usize) -> Result<&'p PackedLayer<B>, Infallible> {
+        let pm = *self;
+        Ok(&pm.layers[l])
     }
 }
 
-/// Embedding stage for one token of each of `rows.len()` independent
-/// sequences, each at its own cache position. Caller has run
-/// `s.ensure(c, rows.len())`.
-pub fn embed_rows_into(c: &GptConfig, wte: &Tensor, wpe: &Tensor, rows: &[StepRow<'_>], s: &mut Scratch) {
+// ---------------------------------------------------------------------------
+// The fused forward pass, one free function per stage.
+//
+// These are the single source of the Deep-Fusion kernel sequence: the
+// contiguous-KV [`PackedModel`] passes and the paged engine
+// (`crate::paged::PagedEngine`, over resident or streamed weights) drive the
+// same functions, so every engine is token-identical to the resident oracle
+// by construction — the paths differ only in where the KV rows live
+// (region 2) and where the `PackedLayer` came from, never in the kernels.
+// ---------------------------------------------------------------------------
+
+/// Embedding stage for `(token, position)` rows: token row + position row
+/// fused into one write of `s.x` per row. Caller has run
+/// `s.ensure(c, rows)`.
+pub fn embed_into(
+    c: &GptConfig,
+    wte: &Tensor,
+    wpe: &Tensor,
+    rows: impl IntoIterator<Item = (usize, usize)>,
+    s: &mut Scratch,
+) {
     let h = c.hidden;
-    for (i, row) in rows.iter().enumerate() {
-        let pos = row.cache.context_len();
+    for (i, (token, pos)) in rows.into_iter().enumerate() {
         assert!(pos < c.max_seq, "sequence exceeds max_seq");
-        assert!(row.token < c.vocab, "token id {} out of vocab", row.token);
-        let te = wte.row(row.token);
+        assert!(token < c.vocab, "token id {token} out of vocab");
+        let te = wte.row(token);
         let pe = wpe.row(pos);
         for (x, (&t, &p)) in s.x[i * h..(i + 1) * h].iter_mut().zip(te.iter().zip(pe)) {
             *x = t + p;
@@ -309,34 +354,33 @@ pub fn embed_rows_into(c: &GptConfig, wte: &Tensor, wpe: &Tensor, rows: &[StepRo
     }
 }
 
-/// One transformer layer over `m` consecutive rows of a single sequence
-/// whose prior context length is `offset` (the `forward_seq` layer body):
-/// fused regions 1–5, KV appended in place to `kv`.
-pub fn layer_seq_step<B: PanelWeights>(
+/// Embedding stage for one token of each of `rows.len()` independent
+/// sequences, each at its own cache position.
+pub fn embed_rows_into(c: &GptConfig, wte: &Tensor, wpe: &Tensor, rows: &[StepRow<'_>], s: &mut Scratch) {
+    embed_into(c, wte, wpe, rows.iter().map(|r| (r.token, r.cache.context_len())), s);
+}
+
+/// The layer body every engine shares: fused regions 1, 3, 4 and 5 of one
+/// transformer layer over `m` rows of `s.x`, with region 2 — KV append and
+/// attention, the only step that depends on the KV layout — supplied by
+/// the caller as `attend(qkv, attn)`: it reads the `[m, 3h]` fused QKV rows
+/// and writes the `[m, h]` attention context.
+pub fn layer_step<B: PanelWeights>(
     c: &GptConfig,
     s: &mut Scratch,
     pl: &PackedLayer<B>,
-    kv: &mut LayerKv,
     m: usize,
-    offset: usize,
+    attend: impl FnOnce(&[f32], &mut [f32]),
 ) {
-    let (h, heads) = (c.hidden, c.heads);
+    let h = c.hidden;
     // Region 1: layer-norm rows → one M-row QKV GEMM → bias.
     fused::ln_matmul_bias_into(
         &s.x[..m * h], m, &pl.ln1_g, &pl.ln1_b, 1e-5,
         &pl.w_qkv, &pl.b_qkv, &mut s.normed[..m * h], &mut s.qkv[..m * 3 * h],
     );
-    // KV append in place (amortized; no reallocation at steady state).
-    for i in 0..m {
-        let row = &s.qkv[i * 3 * h..(i + 1) * 3 * h];
-        kv.append_row_slices(&row[h..2 * h], &row[2 * h..3 * h]);
-    }
-    // Region 2: streaming-softmax attention over the cache, queries read in
-    // place from the QKV block (stride 3h) — no gather.
-    fused::attention_seq_into(
-        &s.qkv[..m * 3 * h], 3 * h, m, &kv.k, &kv.v, heads, offset,
-        &mut s.attn[..m * h],
-    );
+    // Region 2: the caller's KV append + attention, queries read in place
+    // from the QKV block (stride 3h) — no gather.
+    attend(&s.qkv[..m * 3 * h], &mut s.attn[..m * h]);
     // Region 3: output projection GEMM + bias + residual.
     blocked::matmul_bias_add_into(
         &s.attn[..m * h], m, &pl.w_o, &pl.b_o, &s.x[..m * h], &mut s.y[..m * h],
@@ -355,9 +399,30 @@ pub fn layer_seq_step<B: PanelWeights>(
     std::mem::swap(&mut s.x, &mut s.y);
 }
 
-/// One transformer layer (`layer`) over a ragged batch: dense M-row GEMMs
-/// for regions 1/3/4/5, per-row KV append + online-softmax attention over
-/// each row's own cache (the `forward_rows` layer body).
+/// One transformer layer over `m` consecutive rows of a single sequence
+/// whose prior context length is `offset` (the `forward_seq` layer body):
+/// KV appended in place to `kv` (amortized; no reallocation at steady
+/// state), then streaming-softmax attention over the cache.
+pub fn layer_seq_step<B: PanelWeights>(
+    c: &GptConfig,
+    s: &mut Scratch,
+    pl: &PackedLayer<B>,
+    kv: &mut LayerKv,
+    m: usize,
+    offset: usize,
+) {
+    let (h, heads) = (c.hidden, c.heads);
+    layer_step(c, s, pl, m, |qkv, attn| {
+        for row in qkv.chunks_exact(3 * h) {
+            kv.append_row_slices(&row[h..2 * h], &row[2 * h..]);
+        }
+        fused::attention_seq_into(qkv, 3 * h, m, &kv.k, &kv.v, heads, offset, attn);
+    });
+}
+
+/// One transformer layer (`layer`) over a ragged batch (the `forward_rows`
+/// layer body): each row appends to and attends over its own cache at its
+/// own position.
 pub fn layer_rows_step<B: PanelWeights>(
     c: &GptConfig,
     s: &mut Scratch,
@@ -366,37 +431,15 @@ pub fn layer_rows_step<B: PanelWeights>(
     layer: usize,
 ) {
     let (h, heads) = (c.hidden, c.heads);
-    let m = rows.len();
-    fused::ln_matmul_bias_into(
-        &s.x[..m * h], m, &pl.ln1_g, &pl.ln1_b, 1e-5,
-        &pl.w_qkv, &pl.b_qkv, &mut s.normed[..m * h], &mut s.qkv[..m * 3 * h],
-    );
-    // Ragged region 2: each row appends to and attends over its own cache
-    // at its own position.
-    for (i, row) in rows.iter_mut().enumerate() {
-        let kv = &mut row.cache.layers[layer];
-        let off = kv.len();
-        let qkv_row = &s.qkv[i * 3 * h..(i + 1) * 3 * h];
-        kv.append_row_slices(&qkv_row[h..2 * h], &qkv_row[2 * h..3 * h]);
-        fused::attention_row_into(
-            &s.qkv[i * 3 * h..i * 3 * h + h],
-            &kv.k, &kv.v, heads, off,
-            &mut s.attn[i * h..(i + 1) * h],
-        );
-    }
-    blocked::matmul_bias_add_into(
-        &s.attn[..m * h], m, &pl.w_o, &pl.b_o, &s.x[..m * h], &mut s.y[..m * h],
-    );
-    std::mem::swap(&mut s.x, &mut s.y);
-    fused::ln_matmul_bias_gelu_into(
-        &s.x[..m * h], m, &pl.ln2_g, &pl.ln2_b, 1e-5,
-        &pl.w_ff1, &pl.b_ff1, &mut s.normed[..m * h], &mut s.ff[..m * 4 * h],
-    );
-    blocked::matmul_bias_add_into(
-        &s.ff[..m * 4 * h], m, &pl.w_ff2, &pl.b_ff2, &s.x[..m * h],
-        &mut s.y[..m * h],
-    );
-    std::mem::swap(&mut s.x, &mut s.y);
+    layer_step(c, s, pl, rows.len(), |qkv, attn| {
+        for (i, row) in rows.iter_mut().enumerate() {
+            let kv = &mut row.cache.layers[layer];
+            let off = kv.len();
+            let q = &qkv[i * 3 * h..(i + 1) * 3 * h];
+            kv.append_row_slices(&q[h..2 * h], &q[2 * h..]);
+            fused::attention_row_into(&q[..h], &kv.k, &kv.v, heads, off, &mut attn[i * h..(i + 1) * h]);
+        }
+    });
 }
 
 /// Final stage: layer-norm each of the `m` rows, then one M-row
@@ -716,70 +759,6 @@ impl<B: PanelWeights> BatchedFastSession<'_, '_, B> {
     pub fn output(&self, i: usize) -> &[usize] {
         let s = &self.seqs[i];
         &s.tokens[s.prompt_len..]
-    }
-
-    /// Engine-slot surface: (re)fill `slot` with a fresh prompt, run its
-    /// prompt pass, and return the first greedy token (recorded as the
-    /// slot's pending feed). Unlike [`BatchedFastSession::prompt`], slot
-    /// retirement (EOS, caps) is the *caller's* decision — this surface
-    /// only executes.
-    pub fn prefill_slot(&mut self, slot: usize, prompt: &[usize]) -> usize {
-        assert!(!prompt.is_empty(), "empty prompt");
-        let vocab = self.pm.config().vocab;
-        let sq = &mut self.seqs[slot];
-        sq.cache.clear();
-        sq.tokens.clear();
-        sq.tokens.extend_from_slice(prompt);
-        sq.prompt_len = prompt.len();
-        sq.finished = false;
-        self.pm.forward_seq(&mut self.scratch, &mut sq.cache, prompt);
-        let next = argmax(self.scratch.logits_row(prompt.len() - 1, vocab));
-        sq.tokens.push(next);
-        sq.generated = 1;
-        next
-    }
-
-    /// Engine-slot surface: advance the given slots (strictly ascending,
-    /// in-use) by one token each through a single ragged M-row pass,
-    /// appending each slot's new token to `out` in `slots` order.
-    pub fn decode_slots(&mut self, slots: &[usize], out: &mut Vec<usize>) {
-        assert!(!slots.is_empty(), "decode_slots: empty batch");
-        assert!(
-            slots.windows(2).all(|w| w[0] < w[1]),
-            "decode_slots: slots must be strictly ascending"
-        );
-        let vocab = self.pm.config().vocab;
-        let mut rows: Vec<StepRow<'_>> = self
-            .seqs
-            .iter_mut()
-            .enumerate()
-            .filter(|(i, _)| slots.binary_search(i).is_ok())
-            .map(|(_, s)| StepRow {
-                token: *s.tokens.last().expect("slot not prefilled"),
-                cache: &mut s.cache,
-            })
-            .collect();
-        assert_eq!(rows.len(), slots.len(), "decode_slots: slot out of range");
-        self.pm.forward_rows(&mut self.scratch, &mut rows);
-        drop(rows);
-        for (r, &i) in slots.iter().enumerate() {
-            let next = argmax(self.scratch.logits_row(r, vocab));
-            let sq = &mut self.seqs[i];
-            sq.tokens.push(next);
-            sq.generated += 1;
-            out.push(next);
-        }
-    }
-
-    /// Engine-slot surface: return `slot` to the released state, keeping
-    /// its KV capacity for the next occupant.
-    pub fn release_slot(&mut self, slot: usize) {
-        let sq = &mut self.seqs[slot];
-        sq.cache.clear();
-        sq.tokens.clear();
-        sq.prompt_len = 0;
-        sq.generated = 0;
-        sq.finished = true;
     }
 
     /// Scratch + KV data pointers; unchanged values across steps prove the

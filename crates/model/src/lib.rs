@@ -36,10 +36,10 @@ pub use beam::beam_search;
 pub use encoder::BertModel;
 pub use config::{BertConfig, GptConfig, MoeConfig};
 pub use fast::{
-    BatchedFastSession, BatchedSeq, FastSession, PackedLayer, PackedModel, QuantizedFastSession,
-    QuantizedPackedModel, StepRow,
+    BatchedFastSession, BatchedSeq, EndWeights, FastSession, PackedLayer, PackedModel,
+    QuantizedFastSession, QuantizedPackedModel, StepRow, WeightSource,
 };
-pub use paged::{PagePool, PageStats, PagedEngine, PagedSeq, PagesExhausted};
+pub use paged::{PagePool, PageStats, PagedEngine, PagedError, PagedSeq, PagesExhausted};
 pub use quantized::QuantizedGptModel;
 pub use reference::{GptModel, KvCache, LayerKv, LayerWeights};
 pub use sampling::{Sampler, SamplerConfig};

@@ -17,17 +17,19 @@
 //!   FLOP sequence is shared with the contiguous kernel — paged decode is
 //!   **bit-identical** to [`crate::fast::FastSession`], not merely close.
 //! * [`PagedEngine`] hosts up to `max_slots` concurrent sequences over one
-//!   packed model and one scratch arena: `prefill` admits a prompt into a
-//!   free slot (reserving its prompt pages up front, all-or-nothing),
+//!   [`WeightSource`] and one scratch arena: `prefill` admits a prompt into
+//!   a free slot (reserving its prompt pages up front, all-or-nothing),
 //!   `decode` advances any subset of slots one token through a single
 //!   ragged M-row pass (reserving at page granularity *per step*), and
-//!   `release` returns a retired sequence's pages to the free list. This is
-//!   the execution surface `dsi-serve`'s continuous-batching scheduler
-//!   drives.
+//!   `release` returns a retired sequence's pages to the free list. The
+//!   source is `&PackedModel` for resident weights or `dsi-zero`'s
+//!   `OffloadStore` for weights streamed from a slower tier — one engine,
+//!   so resident and streamed serving share admission, page accounting and
+//!   shedding. This is the execution surface `dsi-serve`'s
+//!   continuous-batching scheduler drives.
 
 use crate::config::GptConfig;
-use crate::fast::{argmax, PackedModel, Scratch};
-use dsi_kernels::blocked::{self, PackedB, PanelWeights};
+use crate::fast::{argmax, embed_into, layer_step, logits_into, Scratch, WeightSource};
 use dsi_kernels::fused::{self, PagedKvView};
 
 /// A page reservation failed: the pool has fewer free pages than the
@@ -219,6 +221,25 @@ impl PagePool {
     }
 }
 
+/// Why a [`PagedEngine`] step did not run to completion.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PagedError<E> {
+    /// The step's page reservation failed before any compute: no slot
+    /// advanced and no page moved, so the caller can retire a victim and
+    /// retry.
+    Pages(PagesExhausted),
+    /// The weight source failed mid-pass (a streamed tier's typed fault).
+    /// A failed prefill holds nothing; the KV of a failed decode's slots
+    /// is unspecified, so they must be released (and replayed).
+    Weights(E),
+}
+
+impl<E> From<PagesExhausted> for PagedError<E> {
+    fn from(e: PagesExhausted) -> Self {
+        PagedError::Pages(e)
+    }
+}
+
 /// One resident sequence of a [`PagedEngine`].
 #[derive(Debug)]
 struct PagedSlot {
@@ -227,32 +248,33 @@ struct PagedSlot {
     last: usize,
 }
 
-/// Multi-slot decode engine over one packed model and one [`PagePool`].
-/// See the module docs for the slot lifecycle.
-pub struct PagedEngine<'p, 'm, B = PackedB> {
-    pm: &'p PackedModel<'m, B>,
+/// Multi-slot decode engine over one [`WeightSource`] and one
+/// [`PagePool`]: `&PackedModel` for resident weights, a streamed store for
+/// models bigger than memory. See the module docs for the slot lifecycle.
+pub struct PagedEngine<W> {
+    weights: W,
     pool: PagePool,
     slots: Vec<Option<PagedSlot>>,
     scratch: Scratch,
 }
 
-impl<'p, 'm, B: PanelWeights> PagedEngine<'p, 'm, B> {
+impl<W: WeightSource> PagedEngine<W> {
     /// An engine with `max_slots` sequence slots over a pool of
     /// `pages_total` pages of `page_tokens` tokens each.
-    pub fn new(
-        pm: &'p PackedModel<'m, B>,
-        max_slots: usize,
-        pages_total: usize,
-        page_tokens: usize,
-    ) -> Self {
+    pub fn new(weights: W, max_slots: usize, pages_total: usize, page_tokens: usize) -> Self {
         assert!(max_slots > 0);
-        let c = pm.config();
+        let c = weights.config();
         PagedEngine {
             pool: PagePool::new(c.layers, c.hidden, pages_total, page_tokens),
             slots: (0..max_slots).map(|_| None).collect(),
-            scratch: Scratch::new(c, max_slots.max(1)),
-            pm,
+            scratch: Scratch::new(c, max_slots),
+            weights,
         }
+    }
+
+    /// The weight source (a streamed store's counters and health).
+    pub fn weights(&self) -> &W {
+        &self.weights
     }
 
     pub fn max_slots(&self) -> usize {
@@ -288,20 +310,24 @@ impl<'p, 'm, B: PanelWeights> PagedEngine<'p, 'm, B> {
     }
 
     pub fn config(&self) -> &GptConfig {
-        self.pm.config()
+        self.weights.config()
     }
 
     /// Admit a prompt into free `slot`: reserve its prompt pages
     /// (all-or-nothing), run the prompt pass, and return the first greedy
     /// token. On `Err` the slot stays free and no page is held.
-    pub fn prefill(&mut self, slot: usize, prompt: &[usize]) -> Result<usize, PagesExhausted> {
+    pub fn prefill(&mut self, slot: usize, prompt: &[usize]) -> Result<usize, PagedError<W::Error>> {
         assert!(self.slots[slot].is_none(), "prefill into occupied slot {slot}");
         assert!(!prompt.is_empty(), "empty prompt");
         let mut seq = PagedSeq::new();
         self.pool.reserve(&mut seq, prompt.len())?;
-        self.forward_seq_paged(&mut seq, prompt);
-        let vocab = self.pm.config().vocab;
-        let tok = argmax(self.scratch.logits_row(prompt.len() - 1, vocab));
+        let rows = prompt.iter().enumerate().map(|(pos, &t)| (t, &seq, pos));
+        if let Err(e) = forward(&self.weights, &mut self.pool, &mut self.scratch, rows) {
+            self.pool.release(&mut seq);
+            return Err(PagedError::Weights(e));
+        }
+        seq.len = prompt.len();
+        let tok = argmax(self.scratch.logits_row(prompt.len() - 1, self.config().vocab));
         self.slots[slot] = Some(PagedSlot { seq, last: tok });
         Ok(tok)
     }
@@ -309,9 +335,10 @@ impl<'p, 'm, B: PanelWeights> PagedEngine<'p, 'm, B> {
     /// Advance the given occupied slots (strictly ascending) one token each
     /// in a single ragged M-row pass, pushing each new token to `out` in
     /// `slots` order. Page reservation for the step happens **before any
-    /// compute**, atomically across the batch: on `Err` no slot advanced
-    /// and no page moved, so the scheduler can retire a victim and retry.
-    pub fn decode(&mut self, slots: &[usize], out: &mut Vec<usize>) -> Result<(), PagesExhausted> {
+    /// compute**, atomically across the batch: on `Err(Pages)` no slot
+    /// advanced and no page moved, so the scheduler can retire a victim and
+    /// retry.
+    pub fn decode(&mut self, slots: &[usize], out: &mut Vec<usize>) -> Result<(), PagedError<W::Error>> {
         assert!(!slots.is_empty(), "decode: empty batch");
         assert!(
             slots.windows(2).all(|w| w[0] < w[1]),
@@ -327,18 +354,24 @@ impl<'p, 'm, B: PanelWeights> PagedEngine<'p, 'm, B> {
                 .saturating_sub(slot.seq.pages.len());
         }
         if needed > self.pool.free.len() {
-            return Err(PagesExhausted { needed, free: self.pool.free.len() });
+            return Err(PagesExhausted { needed, free: self.pool.free.len() }.into());
         }
         for &si in slots {
             let slot = self.slots[si].as_mut().expect("decode of free slot");
             self.pool.reserve(&mut slot.seq, 1).expect("reservation pre-checked");
         }
-        self.forward_rows_paged(slots);
-        let vocab = self.pm.config().vocab;
+        let PagedEngine { weights, pool, slots: resident, scratch } = self;
+        let rows = slots.iter().map(|&si| {
+            let slot = resident[si].as_ref().expect("occupied");
+            (slot.last, &slot.seq, slot.seq.len)
+        });
+        forward(weights, pool, scratch, rows).map_err(PagedError::Weights)?;
+        let vocab = weights.config().vocab;
         for (r, &si) in slots.iter().enumerate() {
-            let next = argmax(self.scratch.logits_row(r, vocab));
-            self.slots[si].as_mut().expect("occupied").last = next;
-            out.push(next);
+            let slot = resident[si].as_mut().expect("occupied");
+            slot.seq.len += 1;
+            slot.last = argmax(scratch.logits_row(r, vocab));
+            out.push(slot.last);
         }
         Ok(())
     }
@@ -348,165 +381,51 @@ impl<'p, 'm, B: PanelWeights> PagedEngine<'p, 'm, B> {
         let mut s = self.slots[slot].take().expect("release of free slot");
         self.pool.release(&mut s.seq);
     }
+}
 
-    /// Mirror of `PackedModel::forward_seq` with the KV append and
-    /// attention read routed through the page pool. Same fused-region
-    /// sequence, same scratch layout, same per-row attention core —
-    /// logits are bit-identical to the contiguous path.
-    fn forward_seq_paged(&mut self, seq: &mut PagedSeq, ids: &[usize]) {
-        let c = self.pm.config();
-        let (h, heads) = (c.hidden, c.heads);
-        let pt = self.pool.page_tokens;
-        let m = ids.len();
-        let offset = seq.len;
-        assert!(offset + m <= c.max_seq, "sequence exceeds max_seq");
-        assert!(offset + m <= seq.pages.len() * pt, "forward past reservation");
-        self.scratch.ensure(c, m);
-        let s = &mut self.scratch;
-        let model = self.pm.model;
-
-        for (i, &id) in ids.iter().enumerate() {
-            assert!(id < c.vocab, "token id {id} out of vocab");
-            let te = model.wte.row(id);
-            let pe = model.wpe.row(offset + i);
-            for (x, (&t, &p)) in s.x[i * h..(i + 1) * h].iter_mut().zip(te.iter().zip(pe)) {
-                *x = t + p;
+/// One forward pass over `(token, sequence, position)` rows — the M rows of
+/// a prompt, or one row per stepped slot — leaving their logits in `s`.
+/// Layers are checked out of `w` one at a time (prefetching the next) and
+/// run through the shared [`layer_step`]; region 2 writes each row's K/V at
+/// its position through the sequence's page table, then attends over
+/// positions `..=pos` (a prompt row never reads the rows after it). Same
+/// fused-region sequence and per-row attention core as the contiguous
+/// path, so logits are bit-identical to it.
+fn forward<'a, W: WeightSource>(
+    w: &W,
+    pool: &mut PagePool,
+    s: &mut Scratch,
+    rows: impl Iterator<Item = (usize, &'a PagedSeq, usize)> + Clone,
+) -> Result<(), W::Error> {
+    let c = w.config();
+    let (h, heads, pt) = (c.hidden, c.heads, pool.page_tokens);
+    let m = rows.clone().count();
+    s.ensure(c, m);
+    let ends = w.ends();
+    embed_into(c, ends.wte, ends.wpe, rows.clone().map(|(t, _, pos)| (t, pos)), s);
+    for l in 0..c.layers {
+        let pl = w.layer(l)?;
+        w.prefetch_ahead(l + 1);
+        layer_step(c, s, &pl, m, |qkv, attn| {
+            for (i, (_, seq, pos)) in rows.clone().enumerate() {
+                let q = &qkv[i * 3 * h..(i + 1) * 3 * h];
+                pool.write_row(seq, l, pos, &q[h..2 * h], &q[2 * h..]);
+                let (k, v) = pool.arenas(l);
+                let kv = PagedKvView { k, v, pages: seq.pages(), page_tokens: pt, len: pos + 1, offset: pos };
+                fused::attention_row_paged_into(&q[..h], &kv, heads, &mut attn[i * h..(i + 1) * h]);
             }
-        }
-
-        for (l, pl) in self.pm.layers.iter().enumerate() {
-            fused::ln_matmul_bias_into(
-                &s.x[..m * h], m, &pl.ln1_g, &pl.ln1_b, 1e-5,
-                &pl.w_qkv, &pl.b_qkv, &mut s.normed[..m * h], &mut s.qkv[..m * 3 * h],
-            );
-            for i in 0..m {
-                let row = &s.qkv[i * 3 * h..(i + 1) * 3 * h];
-                self.pool.write_row(seq, l, offset + i, &row[h..2 * h], &row[2 * h..3 * h]);
-            }
-            let (ka, va) = self.pool.arenas(l);
-            for i in 0..m {
-                fused::attention_row_paged_into(
-                    &s.qkv[i * 3 * h..i * 3 * h + h],
-                    &PagedKvView {
-                        k: ka,
-                        v: va,
-                        pages: &seq.pages,
-                        page_tokens: pt,
-                        len: offset + i + 1,
-                        offset: offset + i,
-                    },
-                    heads,
-                    &mut s.attn[i * h..(i + 1) * h],
-                );
-            }
-            blocked::matmul_bias_add_into(
-                &s.attn[..m * h], m, &pl.w_o, &pl.b_o, &s.x[..m * h], &mut s.y[..m * h],
-            );
-            std::mem::swap(&mut s.x, &mut s.y);
-            fused::ln_matmul_bias_gelu_into(
-                &s.x[..m * h], m, &pl.ln2_g, &pl.ln2_b, 1e-5,
-                &pl.w_ff1, &pl.b_ff1, &mut s.normed[..m * h], &mut s.ff[..m * 4 * h],
-            );
-            blocked::matmul_bias_add_into(
-                &s.ff[..m * 4 * h], m, &pl.w_ff2, &pl.b_ff2, &s.x[..m * h],
-                &mut s.y[..m * h],
-            );
-            std::mem::swap(&mut s.x, &mut s.y);
-        }
-
-        for i in 0..m {
-            fused::layernorm_row_into(
-                &s.x[i * h..(i + 1) * h],
-                model.lnf_g.data(), model.lnf_b.data(), 1e-5,
-                &mut s.normed[i * h..(i + 1) * h],
-            );
-        }
-        blocked::matmul_into(&s.normed[..m * h], m, &self.pm.wte_packed, &mut s.logits[..m * c.vocab]);
-        seq.len = offset + m;
+        });
+        // `pl` drops here: a streamed source gets the panel's budget back
+        // before the next checkout needs room.
     }
-
-    /// Mirror of `PackedModel::forward_rows` over the page pool: one token
-    /// of each listed slot per call, dense M-row GEMMs, per-row paged
-    /// attention at each sequence's own position.
-    fn forward_rows_paged(&mut self, active: &[usize]) {
-        let c = self.pm.config();
-        let (h, heads) = (c.hidden, c.heads);
-        let pt = self.pool.page_tokens;
-        let m = active.len();
-        self.scratch.ensure(c, m);
-        let s = &mut self.scratch;
-        let model = self.pm.model;
-
-        for (i, &si) in active.iter().enumerate() {
-            let slot = self.slots[si].as_ref().expect("decode of free slot");
-            let pos = slot.seq.len;
-            assert!(pos < c.max_seq, "sequence exceeds max_seq");
-            let te = model.wte.row(slot.last);
-            let pe = model.wpe.row(pos);
-            for (x, (&t, &p)) in s.x[i * h..(i + 1) * h].iter_mut().zip(te.iter().zip(pe)) {
-                *x = t + p;
-            }
-        }
-
-        for (l, pl) in self.pm.layers.iter().enumerate() {
-            fused::ln_matmul_bias_into(
-                &s.x[..m * h], m, &pl.ln1_g, &pl.ln1_b, 1e-5,
-                &pl.w_qkv, &pl.b_qkv, &mut s.normed[..m * h], &mut s.qkv[..m * 3 * h],
-            );
-            for (i, &si) in active.iter().enumerate() {
-                let slot = self.slots[si].as_ref().expect("occupied");
-                let pos = slot.seq.len;
-                let qkv_row = &s.qkv[i * 3 * h..(i + 1) * 3 * h];
-                self.pool
-                    .write_row(&slot.seq, l, pos, &qkv_row[h..2 * h], &qkv_row[2 * h..3 * h]);
-                let (ka, va) = self.pool.arenas(l);
-                fused::attention_row_paged_into(
-                    &s.qkv[i * 3 * h..i * 3 * h + h],
-                    &PagedKvView {
-                        k: ka,
-                        v: va,
-                        pages: slot.seq.pages(),
-                        page_tokens: pt,
-                        len: pos + 1,
-                        offset: pos,
-                    },
-                    heads,
-                    &mut s.attn[i * h..(i + 1) * h],
-                );
-            }
-            blocked::matmul_bias_add_into(
-                &s.attn[..m * h], m, &pl.w_o, &pl.b_o, &s.x[..m * h], &mut s.y[..m * h],
-            );
-            std::mem::swap(&mut s.x, &mut s.y);
-            fused::ln_matmul_bias_gelu_into(
-                &s.x[..m * h], m, &pl.ln2_g, &pl.ln2_b, 1e-5,
-                &pl.w_ff1, &pl.b_ff1, &mut s.normed[..m * h], &mut s.ff[..m * 4 * h],
-            );
-            blocked::matmul_bias_add_into(
-                &s.ff[..m * 4 * h], m, &pl.w_ff2, &pl.b_ff2, &s.x[..m * h],
-                &mut s.y[..m * h],
-            );
-            std::mem::swap(&mut s.x, &mut s.y);
-        }
-
-        for i in 0..m {
-            fused::layernorm_row_into(
-                &s.x[i * h..(i + 1) * h],
-                model.lnf_g.data(), model.lnf_b.data(), 1e-5,
-                &mut s.normed[i * h..(i + 1) * h],
-            );
-        }
-        blocked::matmul_into(&s.normed[..m * h], m, &self.pm.wte_packed, &mut s.logits[..m * c.vocab]);
-        for &si in active {
-            let slot = self.slots[si].as_mut().expect("occupied");
-            slot.seq.len += 1;
-        }
-    }
+    logits_into(c, s, m, ends.lnf_g, ends.lnf_b, ends.wte_packed);
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fast::PackedModel;
     use crate::reference::GptModel;
     use crate::zoo;
 
@@ -647,7 +566,7 @@ mod tests {
         // Position 3 fits page 1 (capacity 4): first decode succeeds.
         eng.decode(&[0], &mut out).unwrap();
         // Position 4 needs a third page: typed failure, nothing advanced.
-        let err = eng.decode(&[0], &mut out).unwrap_err();
+        let PagedError::Pages(err) = eng.decode(&[0], &mut out).unwrap_err();
         assert_eq!(err.needed, 1);
         assert_eq!(err.free, 0);
         assert_eq!(eng.context_len(0), before + 1);
@@ -664,7 +583,7 @@ mod tests {
         let pm = PackedModel::pack(&m);
         let mut eng = PagedEngine::new(&pm, 1, 2, 2);
         let err = eng.prefill(0, &[1, 2, 3, 4, 5]).unwrap_err();
-        assert_eq!(err, PagesExhausted { needed: 3, free: 2 });
+        assert_eq!(err, PagedError::Pages(PagesExhausted { needed: 3, free: 2 }));
         assert!(!eng.slot_in_use(0));
         assert_eq!(eng.pool_stats().pages_in_use, 0);
     }

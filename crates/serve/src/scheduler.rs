@@ -5,9 +5,7 @@
 //!
 //! 1. **Admit** (under the state lock): pop queued jobs into free slots
 //!    while [`SlotPolicy::can_admit`] holds *and* the page pool can seat
-//!    the job's prompt right now. The policy struct is the same one
-//!    `simulate_continuous` uses, so the simulator's admission discipline
-//!    and the runtime's cannot drift.
+//!    the job's prompt right now.
 //! 2. **Execute** (no lock): prefill newcomers (one prompt pass each),
 //!    then advance every resident one token through a single
 //!    `forward_rows` pass via [`BatchEngine::decode_step`]. Page growth
@@ -341,25 +339,8 @@ impl Tracer {
     }
 }
 
-/// The streamed-mode worker: the same scheduler as continuous mode over a
-/// [`StreamedEngine`] built by `Server::start_streamed` (weights paged in
-/// from the offload tier instead of resident in a `PackedModel`).
-/// Engine-fault injection wraps the streamed engine exactly like the paged
-/// one, so the chaos harness composes I/O faults (inside the store) with
-/// engine faults (at this seam).
-pub(crate) fn streamed_worker_loop(
-    shared: Arc<Shared>,
-    eng: dsi_core::StreamedEngine,
-    cont: ContinuousConfig,
-    eos: Option<usize>,
-    faults: Option<Arc<EngineFaultInjector>>,
-) {
-    match faults {
-        Some(inj) => run_scheduler(shared, FaultyEngine::new(eng, inj), cont, eos),
-        None => run_scheduler(shared, eng, cont, eos),
-    }
-}
-
+/// The continuous-mode worker: pack `model` and schedule a [`PagedEngine`]
+/// over the resident weights.
 pub(crate) fn continuous_worker_loop(
     shared: Arc<Shared>,
     model: Arc<GptModel>,
@@ -368,18 +349,25 @@ pub(crate) fn continuous_worker_loop(
     faults: Option<Arc<EngineFaultInjector>>,
 ) {
     let pm = PackedModel::pack(&model);
+    let eng = PagedEngine::new(&pm, cont.max_slots, cont.pages_total, cont.page_tokens);
+    schedule(shared, eng, cont, eos, faults);
+}
+
+/// Run the scheduler over `eng` — a [`PagedEngine`] over resident weights
+/// ([`continuous_worker_loop`]) or over the offload store
+/// (`Server::start_streamed`). Engine-fault injection wraps either the same
+/// way, so the chaos harness composes I/O faults (inside the store) with
+/// engine faults (at this seam).
+pub(crate) fn schedule<E: BatchEngine>(
+    shared: Arc<Shared>,
+    eng: E,
+    cont: ContinuousConfig,
+    eos: Option<usize>,
+    faults: Option<Arc<EngineFaultInjector>>,
+) {
     match faults {
-        Some(inj) => {
-            let eng = FaultyEngine::new(
-                PagedEngine::new(&pm, cont.max_slots, cont.pages_total, cont.page_tokens),
-                inj,
-            );
-            run_scheduler(shared, eng, cont, eos);
-        }
-        None => {
-            let eng = PagedEngine::new(&pm, cont.max_slots, cont.pages_total, cont.page_tokens);
-            run_scheduler(shared, eng, cont, eos);
-        }
+        Some(inj) => run_scheduler(shared, FaultyEngine::new(eng, inj), cont, eos),
+        None => run_scheduler(shared, eng, cont, eos),
     }
 }
 

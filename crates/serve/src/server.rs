@@ -2,7 +2,7 @@
 //!
 //! [`Server`] fronts one decode engine with the overload machinery a
 //! production inference endpoint needs and the underlying engine alone
-//! cannot provide. Two engine modes share every admission/accounting/drain
+//! cannot provide. Three engine modes share every admission/accounting/drain
 //! path ([`EngineMode`]):
 //!
 //! * **Single-flight** — one request at a time over the fault-tolerant
@@ -17,6 +17,9 @@
 //!   and per-step growth is reserved page-by-page at decode time — failure
 //!   there surfaces as a typed [`EvictReason::PagesExhausted`] eviction,
 //!   never an abort.
+//! * **Streamed** — the same scheduler and paged engine, with layer weights
+//!   streamed from a tiered offload store ([`Server::start_streamed`]) so
+//!   the model's weight file may exceed memory.
 //!
 //! * **Bounded admission** — [`Server::submit`] either admits a request
 //!   into a bounded queue or rejects it *typed* ([`Rejected`]): the queue
@@ -61,6 +64,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use dsi_model::paged::PagedEngine;
 use dsi_model::reference::GptModel;
 use dsi_model::GptConfig;
 use dsi_parallel::supervisor::{
@@ -71,12 +75,12 @@ use dsi_sim::hw::DType;
 use dsi_sim::shmem::CommConfig;
 use serde::Serialize;
 
-use dsi_core::{FaultClass, StreamedEngine};
+use dsi_core::FaultClass;
 use dsi_sim::fault::EngineFaultInjector;
 use dsi_zero::offload::{OffloadConfig, OffloadError, OffloadStore};
 
 use crate::breaker::{BreakerConfig, BreakerSet, SetAdmission};
-use crate::scheduler::{continuous_worker_loop, streamed_worker_loop, SchedReport};
+use crate::scheduler::{continuous_worker_loop, schedule, SchedReport};
 
 /// Convert a KV byte budget into admission tokens for
 /// [`ServeConfig::kv_budget_tokens`], using the same per-token accounting
@@ -100,17 +104,17 @@ pub enum EngineMode {
     /// KV admission charges **prompt pages only**; decode growth reserves
     /// page-by-page per step ([`EvictReason::PagesExhausted`] on failure).
     Continuous(ContinuousConfig),
-    /// Continuous batching over `dsi_core::StreamedEngine` — weights
-    /// streamed from an offload tier under a resident budget, so the
-    /// served model's weight file may exceed memory. Same scheduler and
-    /// admission as [`EngineMode::Continuous`], but KV is metered at
-    /// **token granularity**: configure `page_tokens = 1` and
-    /// `pages_total` = the KV token budget (asserted by
-    /// [`Server::start_streamed`]). Single-flight discipline is
-    /// `max_slots = 1`. Start with [`Server::start_streamed`], not
-    /// [`Server::start`] (the engine is built from a weight *file*, and a
-    /// failed open must surface as a typed error before any thread
-    /// spawns).
+    /// Continuous batching over the same paged engine as
+    /// [`EngineMode::Continuous`], with weights streamed from an offload
+    /// tier under a resident budget
+    /// (`dsi_model::paged::PagedEngine` over `dsi_zero::offload::OffloadStore`),
+    /// so the served model's weight file may exceed memory. Scheduler,
+    /// page-granular admission and [`EvictReason::PagesExhausted`]
+    /// shedding are exactly those of continuous mode. Single-flight
+    /// discipline is `max_slots = 1`. Start with
+    /// [`Server::start_streamed`], not [`Server::start`] (the engine is
+    /// built from a weight *file*, and a failed open must surface as a
+    /// typed error before any thread spawns).
     Streamed(ContinuousConfig),
 }
 
@@ -550,12 +554,8 @@ impl Server {
             EngineMode::Streamed(c) => c,
             _ => panic!("Server::start_streamed requires EngineMode::Streamed"),
         };
-        assert_eq!(
-            cont.page_tokens, 1,
-            "streamed mode meters KV per token: set page_tokens = 1 and pages_total = token budget"
-        );
         let store = OffloadStore::open(path, offload)?;
-        let eng = StreamedEngine::new(store, cont.max_slots, cont.pages_total);
+        let eng = PagedEngine::new(store, cont.max_slots, cont.pages_total, cont.page_tokens);
         let shared = new_shared(&cfg);
         let start_ns = cfg.clock.now_ns();
         let worker = {
@@ -564,7 +564,7 @@ impl Server {
             let faults = cfg.engine_faults.clone();
             std::thread::Builder::new()
                 .name("dsi-serve-streamer".into())
-                .spawn(move || streamed_worker_loop(shared, eng, cont, eos, faults))
+                .spawn(move || schedule(shared, eng, cont, eos, faults))
                 .expect("spawn streamed scheduler")
         };
         let watchdog = spawn_watchdog(&cfg, &shared);
@@ -1296,6 +1296,46 @@ mod tests {
         assert_eq!(report.evicted, 1);
         assert_eq!(report.admitted, 2);
         assert_eq!(report.scheduler.unwrap().page_evictions, 1);
+    }
+
+    #[test]
+    fn streamed_page_exhaustion_sheds_typed_within_the_pool() {
+        // The streamed server runs the paged engine too, so an undersized
+        // pool sheds exactly like continuous mode: 20 token rows cannot
+        // hold 3 prompt + 18 fed tokens, whatever the page size.
+        let model = tiny_model();
+        let path = std::env::temp_dir()
+            .join(format!("dsi_serve_streamed_shed_{}.bin", std::process::id()));
+        dsi_model::io::save(&model, &path).expect("save weight file");
+        let full = FtSession::new(Arc::clone(&model), 64, FtConfig::new(1))
+            .generate(&[1, 2, 3], 19)
+            .unwrap();
+        for (page_tokens, pages_total) in [(1, 20), (2, 10)] {
+            let mut cfg = ServeConfig::new(1);
+            cfg.mode = EngineMode::Streamed(ContinuousConfig {
+                max_slots: 2,
+                pages_total,
+                page_tokens,
+                ..ContinuousConfig::default()
+            });
+            let srv = Server::start_streamed(&path, OffloadConfig::default(), cfg).expect("open");
+            let t = srv.submit(Request { prompt: vec![1, 2, 3], n_tokens: 19, deadline: None }).unwrap();
+            let o = t.wait();
+            let Outcome::Evicted { reason: EvictReason::PagesExhausted, partial } = o else {
+                panic!("page_tokens {page_tokens}: oversized request must shed typed, got {o:?}");
+            };
+            assert_eq!(partial.len(), 18, "page_tokens {page_tokens}: shed at the pool edge");
+            assert_eq!(&full[..partial.len()], &partial[..]);
+            let report = srv.drain(Duration::from_secs(5));
+            let sched = report.scheduler.expect("streamed scheduler report");
+            assert_eq!(sched.page_evictions, 1);
+            assert!(
+                sched.pages.high_water <= pages_total,
+                "page_tokens {page_tokens}: high water {} exceeds the pool of {pages_total}",
+                sched.pages.high_water
+            );
+        }
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]

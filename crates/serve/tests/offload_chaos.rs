@@ -100,7 +100,7 @@ fn streamed_io_fault_storms_recover_bit_exact() {
         cfg.mode = EngineMode::Streamed(ContinuousConfig {
             max_slots: 3,
             pages_total: 28, // KV tokens: ~2 full requests resident at once
-            page_tokens: 1,  // streamed mode meters KV per token
+            page_tokens: 1,  // one token per page
             replay_budget: 4,
             step_deadline: Some(Duration::from_millis(50)),
             ..ContinuousConfig::default()

@@ -22,9 +22,11 @@
 //!   re-reads, clock-measured fetch deadlines, and graceful degradation to
 //!   synchronous fetch when the prefetcher dies.
 //!
-//! `dsi_core::streamed::StreamedEngine` is the decode loop over the store
-//! (it lives in `dsi-core` because the `BatchEngine` trait does), and
-//! `dsi-serve` hosts it in both single-flight and continuous modes.
+//! The store implements `dsi_model::fast::WeightSource`, so the one paged
+//! decode engine (`dsi_model::paged::PagedEngine`) runs over it exactly as
+//! over resident weights, and `dsi-serve` hosts it behind
+//! `EngineMode::Streamed` with the same scheduler, page-granular admission
+//! and shedding as resident continuous batching.
 
 pub mod engine;
 pub mod offload;

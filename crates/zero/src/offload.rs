@@ -9,9 +9,10 @@
 //! operand), and serves transformer layers as [`PackedLayer`] panels on
 //! demand under a **resident-byte budget**: at most
 //! `resident_budget_bytes` of packed layer panels live in memory at once,
-//! so a model whose weight file dwarfs the budget still decodes — the
-//! `StreamedEngine` built on top is token-identical to the fully-resident
-//! fast path because both drive the same `dsi_model::fast` stage functions.
+//! so a model whose weight file dwarfs the budget still decodes. The store
+//! is a [`WeightSource`], so `dsi_model::paged::PagedEngine` decodes over it
+//! exactly as over a resident `PackedModel` — same engine, same layer body,
+//! token-identical by construction.
 //!
 //! ## Concurrency shape
 //!
@@ -46,7 +47,7 @@
 use dsi_kernels::blocked::{PackedB, PanelWeights};
 use dsi_kernels::tensor::Tensor;
 use dsi_model::config::GptConfig;
-use dsi_model::fast::PackedLayer;
+use dsi_model::fast::{EndWeights, PackedLayer, WeightSource};
 use dsi_model::io::{self, IoError, PanelDirectory};
 use dsi_sim::fault::{apply_stall, IoFaultInjector, IoFaultKind};
 use dsi_sim::Clock;
@@ -165,7 +166,8 @@ pub struct OffloadStats {
     pub hits: u64,
     /// `acquire` calls that had to wait for (or perform) a fetch.
     pub demand_fetches: u64,
-    /// Panels fetched by the background worker.
+    /// Panels the background worker fetched because `prefetch_ahead` queued
+    /// them (fetches queued by a waiting `acquire` count as demand).
     pub prefetch_fetches: u64,
     /// Panels fetched synchronously on the decode thread because the
     /// prefetcher was dead.
@@ -339,14 +341,16 @@ struct Inner {
     /// Global read-call counter — the coordinate `IoFaultSite::Read`
     /// addresses. Call 0 is the open-time probe fetch of layer 0.
     read_calls: AtomicU64,
-    queue: Sender<usize>,
+    /// `(layer, queued by prefetch_ahead)` fetch requests for the worker.
+    queue: Sender<(usize, bool)>,
 }
 
 /// Sentinel the drop/kill paths enqueue to stop the worker.
-const SHUTDOWN: usize = usize::MAX;
+const SHUTDOWN: (usize, bool) = (usize::MAX, false);
 
 /// A fault-hardened tiered weight store over a v2 panel file. See the
-/// module docs for the design; `StreamedEngine` is the decode loop on top.
+/// module docs for the design; `dsi_model::paged::PagedEngine` is the
+/// decode loop on top (through the [`WeightSource`] impl below).
 pub struct OffloadStore {
     inner: Arc<Inner>,
     resident: ResidentGroup,
@@ -397,7 +401,7 @@ impl OffloadStore {
             wpe,
         };
 
-        let (tx, rx) = mpsc::channel::<usize>();
+        let (tx, rx) = mpsc::channel::<(usize, bool)>();
         let inner = Arc::new(Inner {
             backing,
             dir,
@@ -514,7 +518,7 @@ impl OffloadStore {
                 continue;
             }
             st.inflight.push(l);
-            if self.inner.queue.send(l).is_err() {
+            if self.inner.queue.send((l, true)).is_err() {
                 st.inflight.retain(|&x| x != l);
                 st.worker_dead = true;
                 return;
@@ -570,7 +574,7 @@ impl OffloadStore {
             }
             if !st.inflight.contains(&l) {
                 st.inflight.push(l);
-                if inner.queue.send(l).is_err() {
+                if inner.queue.send((l, false)).is_err() {
                     st.inflight.retain(|&x| x != l);
                     st.worker_dead = true;
                     continue;
@@ -592,6 +596,34 @@ impl OffloadStore {
                 });
             }
         }
+    }
+}
+
+/// The streamed weight source: layers are `Arc`-pinned panels checked out
+/// through [`OffloadStore::acquire`] (a resident hit or a bounded-wait
+/// fetch), and each checkout queues the next `effective_depth` layers for
+/// the prefetch worker — the acquire → prefetch-ahead → step → drop order
+/// `dsi_verify::runtime::prefetch_program` model-checks.
+impl WeightSource for OffloadStore {
+    type Panel = PackedB;
+    type Layer<'a> = Arc<PackedLayer<PackedB>>;
+    type Error = OffloadError;
+
+    fn config(&self) -> &GptConfig {
+        OffloadStore::config(self)
+    }
+
+    fn ends(&self) -> EndWeights<'_, PackedB> {
+        let r = &self.resident;
+        EndWeights { wte: &r.wte, wpe: &r.wpe, lnf_g: &r.lnf_g, lnf_b: &r.lnf_b, wte_packed: &r.wte_packed }
+    }
+
+    fn layer(&self, l: usize) -> Result<Arc<PackedLayer<PackedB>>, OffloadError> {
+        self.acquire(l)
+    }
+
+    fn prefetch_ahead(&self, next: usize) {
+        OffloadStore::prefetch_ahead(self, next)
     }
 }
 
@@ -738,9 +770,9 @@ fn insert_with_evict(
     true
 }
 
-fn worker_loop(inner: Arc<Inner>, rx: Receiver<usize>) {
-    while let Ok(layer) = rx.recv() {
-        if layer == SHUTDOWN {
+fn worker_loop(inner: Arc<Inner>, rx: Receiver<(usize, bool)>) {
+    while let Ok((layer, prefetch)) = rx.recv() {
+        if (layer, prefetch) == SHUTDOWN {
             break;
         }
         {
@@ -768,7 +800,8 @@ fn worker_loop(inner: Arc<Inner>, rx: Receiver<usize>) {
                     fetched.panel,
                     fetched.bytes,
                     inner.cfg.resident_budget_bytes,
-                ) {
+                ) && prefetch
+                {
                     st.stats.prefetch_fetches += 1;
                 }
                 inner.cv.notify_all();
@@ -912,6 +945,25 @@ mod tests {
             Err(OffloadError::ChecksumFailed { layer: 0, attempts: 3 }) => {}
             other => panic!("expected ChecksumFailed, got {:?}", other.map(|_| ())),
         }
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn acquire_queued_fetches_count_as_demand_not_prefetch() {
+        let (_m, path) = save_model(3, 37, "depth0");
+        let cfg = OffloadConfig { prefetch_depth: 0, ..OffloadConfig::default() };
+        let store = OffloadStore::open(&path, cfg).expect("open");
+        for _ in 0..2 {
+            for l in 0..3 {
+                let _panel = store.acquire(l).expect("acquire");
+                store.prefetch_ahead(l + 1); // no-op at depth 0
+            }
+        }
+        let st = store.stats();
+        // Layer 0 comes from the open-time probe; the worker fetched layers
+        // 1 and 2 because `acquire` queued them and waited.
+        assert_eq!(st.demand_fetches, 3, "probe + two waited fetches");
+        assert_eq!(st.prefetch_fetches, 0, "depth 0 never prefetches");
         let _ = std::fs::remove_file(path);
     }
 
